@@ -205,9 +205,8 @@ mod tests {
 
     #[test]
     fn gc_conv2d_input_strided_nonsquare() {
-        // Config the fused path specializes: stride 2, padding 1, a
-        // non-square input, and cout = 3 (not a multiple of the MR=4 tile
-        // height, so the GEMM runs a partial row tile).
+        // Stride 2, padding 1, a non-square input, and cout = 3 (a partial
+        // vector of output channels in the direct kernels).
         let spec = Conv2dSpec { in_channels: 2, out_channels: 3, kernel: 3, stride: 2, padding: 1 };
         let w = randn(&[3, 2, 3, 3], 83);
         check(
@@ -223,8 +222,8 @@ mod tests {
 
     #[test]
     fn gc_conv2d_1x1_input() {
-        // 1x1 kernels degenerate to a per-pixel matmul; the packers must
-        // still index correctly.
+        // 1x1 kernels degenerate to a per-pixel matmul; the offset tables
+        // must still index correctly.
         let spec = Conv2dSpec { in_channels: 3, out_channels: 2, kernel: 1, stride: 1, padding: 0 };
         let w = randn(&[2, 3, 1, 1], 85);
         check(
@@ -240,8 +239,8 @@ mod tests {
 
     #[test]
     fn gc_conv2d_weight_nonsquare_offtile_cout() {
-        // Weight gradient with cout = 5 (partial MR tile) on a non-square
-        // input — exercises conv2d_dw's pixel-major panel packer tails.
+        // Weight gradient with cout = 5 (a partial lane vector) on a
+        // non-square input — exercises conv2d_dw's lane and row-tile tails.
         let spec = Conv2dSpec { in_channels: 2, out_channels: 5, kernel: 3, stride: 1, padding: 1 };
         let x0 = randn(&[1, 2, 4, 6], 87);
         let w0 = randn(&[5, 2, 3, 3], 88);

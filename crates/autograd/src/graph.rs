@@ -24,8 +24,19 @@ impl Ctx<'_> {
         &self.nodes[v.0].value
     }
 
-    /// Adds `g` to the gradient accumulator of parent node `v`.
+    /// Whether parent node `v` takes a gradient: false for
+    /// [`Graph::constant`] nodes, whose gradient backward ops need not
+    /// compute.
+    pub fn needs_grad(&self, v: Var) -> bool {
+        !self.nodes[v.0].constant
+    }
+
+    /// Adds `g` to the gradient accumulator of parent node `v` (dropped
+    /// when `v` is a constant).
     pub fn accumulate(&mut self, v: Var, g: Tensor) {
+        if !self.needs_grad(v) {
+            return;
+        }
         debug_assert_eq!(
             self.nodes[v.0].value.shape(),
             g.shape(),
@@ -51,6 +62,8 @@ struct Node {
     value: Tensor,
     /// `None` for leaves (parameters, constants): backward stops here.
     backward: Option<Box<dyn BackwardOp>>,
+    /// Set for [`Graph::constant`] leaves, which take no gradient.
+    constant: bool,
 }
 
 /// A single forward pass's computation tape.
@@ -84,14 +97,23 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Adds a leaf node (parameter or constant input). Gradients accumulate
-    /// here but do not propagate further.
+    /// Adds a leaf node (a parameter, or an input whose gradient is
+    /// wanted). Gradients accumulate here but do not propagate further.
     pub fn leaf(&mut self, value: Tensor) -> Var {
         self.push(value, None)
     }
 
+    /// Adds a leaf that takes no gradient (e.g. a network's input batch):
+    /// [`grad`](Self::grad) stays `None` for it, and backward ops skip the
+    /// work of computing its gradient.
+    pub fn constant(&mut self, value: Tensor) -> Var {
+        let v = self.push(value, None);
+        self.nodes[v.0].constant = true;
+        v
+    }
+
     pub(crate) fn push(&mut self, value: Tensor, backward: Option<Box<dyn BackwardOp>>) -> Var {
-        self.nodes.push(Node { value, backward });
+        self.nodes.push(Node { value, backward, constant: false });
         self.grads.push(None);
         Var(self.nodes.len() - 1)
     }
@@ -177,6 +199,18 @@ mod tests {
         let mut g = Graph::new();
         let v = g.leaf(Tensor::zeros(&[3]));
         g.backward(v);
+    }
+
+    #[test]
+    fn constants_take_no_gradient() {
+        let mut g = Graph::new();
+        let c = g.constant(Tensor::from_vec(vec![3.0], &[1]));
+        let x = g.leaf(Tensor::from_vec(vec![2.0], &[1]));
+        let y = g.mul(c, x);
+        let s = g.sum(y);
+        g.backward(s);
+        assert!(g.grad(c).is_none());
+        assert_eq!(g.grad(x).unwrap().data(), &[3.0]);
     }
 
     #[test]

@@ -1,54 +1,13 @@
-//! Differentiable 2-D convolution over the fused GEMM kernels.
+//! Differentiable 2-D convolution over the direct conv kernels.
 //!
-//! Both passes stay fused: the forward pass never materializes the im2col
-//! matrix, and the backward pass calls the dedicated `conv2d_dw`/`conv2d_dx`
-//! kernels instead of saving `cols` from the forward pass — which also
-//! removes the `[n·oh·ow, cin·k·k]` tensor that used to live in the tape
-//! for the whole backward sweep.
+//! Neither pass materializes the im2col matrix: the backward pass calls the
+//! dedicated `conv2d_dw`/`conv2d_dx` kernels on the saved input and weight,
+//! and skips `conv2d_dx` when the input is a constant (a network's input
+//! batch).
 
 use crate::graph::{BackwardOp, Ctx, Var};
 use crate::Graph;
 use lcasgd_tensor::ops::conv::{conv2d, conv2d_dw, conv2d_dx, Conv2dSpec};
-use lcasgd_tensor::Tensor;
-
-/// Reorders an NCHW tensor into pixel rows: `[n, c, h, w] -> [n·h·w, c]`,
-/// row `(img, pixel)` holding that pixel's channel vector. This is the
-/// layout the im2col matmul produces/consumes.
-pub fn nchw_to_rows(t: &Tensor) -> Tensor {
-    let d = t.dims();
-    let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
-    let mut out = Tensor::zeros(&[n * hw, c]);
-    let src = t.data();
-    let dst = out.data_mut();
-    for img in 0..n {
-        let base = img * c * hw;
-        for ch in 0..c {
-            for p in 0..hw {
-                dst[(img * hw + p) * c + ch] = src[base + ch * hw + p];
-            }
-        }
-    }
-    out
-}
-
-/// Inverse of [`nchw_to_rows`].
-pub fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, h: usize, w: usize) -> Tensor {
-    let hw = h * w;
-    assert_eq!(rows.dims(), &[n * hw, c], "rows_to_nchw shape");
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    let src = rows.data();
-    let dst = out.data_mut();
-    for img in 0..n {
-        let base = img * c * hw;
-        for p in 0..hw {
-            let row = &src[(img * hw + p) * c..(img * hw + p + 1) * c];
-            for (ch, &v) in row.iter().enumerate() {
-                dst[base + ch * hw + p] = v;
-            }
-        }
-    }
-    out
-}
 
 struct Conv2dBack {
     x: Var,
@@ -60,9 +19,11 @@ struct Conv2dBack {
 impl BackwardOp for Conv2dBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
         let dw = conv2d_dw(ctx.grad, ctx.value(self.x), &self.spec);
-        let dx = conv2d_dx(ctx.grad, ctx.value(self.w), &self.spec, self.in_h, self.in_w);
         ctx.accumulate(self.w, dw);
-        ctx.accumulate(self.x, dx);
+        if ctx.needs_grad(self.x) {
+            let dx = conv2d_dx(ctx.grad, ctx.value(self.w), &self.spec, self.in_h, self.in_w);
+            ctx.accumulate(self.x, dx);
+        }
     }
 }
 
@@ -80,16 +41,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcasgd_tensor::{assert_close, Rng};
-
-    #[test]
-    fn rows_roundtrip() {
-        let mut rng = Rng::seed_from_u64(41);
-        let t = Tensor::randn(&[2, 3, 4, 5], 1.0, &mut rng);
-        let rows = nchw_to_rows(&t);
-        assert_eq!(rows.dims(), &[2 * 20, 3]);
-        assert_close(&rows_to_nchw(&rows, 2, 3, 4, 5), &t, 1e-6);
-    }
+    use lcasgd_tensor::{assert_close, Rng, Tensor};
 
     #[test]
     fn conv_forward_matches_tensor_kernel() {

@@ -10,6 +10,7 @@
 use crate::graph::{BackwardOp, Ctx, Var};
 use crate::Graph;
 use lcasgd_tensor::Tensor;
+use std::ops::Range;
 
 /// Batch statistics computed by a training-mode BN op.
 #[derive(Clone, Debug)]
@@ -21,7 +22,7 @@ pub struct BnBatchStats {
 }
 
 /// Shared backward math: given per-channel reductions, produce dx for one
-/// element. All tensors are flattened with an `element -> channel` map.
+/// element. All tensors are walked as a sequence of per-channel planes.
 struct BnBack {
     x: Var,
     gamma: Var,
@@ -43,19 +44,24 @@ enum Layout {
 }
 
 impl Layout {
-    #[inline]
-    fn channel_of(&self, flat: usize) -> usize {
+    /// `(channels, elements per channel plane)`: a flat buffer is a
+    /// sequence of `channels` planes, repeated per row/image.
+    fn dims(&self) -> (usize, usize) {
         match *self {
-            Layout::Rows { n } => flat % n,
-            Layout::Nchw { c, hw } => (flat / hw) % c,
+            Layout::Rows { n } => (n, 1),
+            Layout::Nchw { c, hw } => (c, hw),
         }
     }
 
     fn channels(&self) -> usize {
-        match *self {
-            Layout::Rows { n } => n,
-            Layout::Nchw { c, .. } => c,
-        }
+        self.dims().0
+    }
+
+    /// `(channel, flat range)` of every plane of a `len`-element buffer, in
+    /// flat order — no per-element channel arithmetic.
+    fn planes(&self, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+        let (c, plane) = self.dims();
+        (0..c).cycle().zip((0..len).step_by(plane)).map(move |(ch, at)| (ch, at..at + plane))
     }
 }
 
@@ -65,13 +71,16 @@ impl BackwardOp for BnBack {
         let dy = ctx.grad.data();
         let xhat = self.xhat.data();
 
-        // Per-channel reductions: dbeta = Σdy, dgamma = Σ dy·x̂.
+        // Per-channel reductions: dbeta = Σdy, dgamma = Σ dy·x̂ (flat order).
         let mut dbeta = vec![0.0f64; c];
         let mut dgamma = vec![0.0f64; c];
-        for (i, (&g, &xh)) in dy.iter().zip(xhat).enumerate() {
-            let ch = self.layout.channel_of(i);
-            dbeta[ch] += g as f64;
-            dgamma[ch] += (g * xh) as f64;
+        for (ch, r) in self.layout.planes(dy.len()) {
+            let (mut db, mut dg) = (dbeta[ch], dgamma[ch]);
+            for (&g, &xh) in dy[r.clone()].iter().zip(&xhat[r]) {
+                db += g as f64;
+                dg += (g * xh) as f64;
+            }
+            (dbeta[ch], dgamma[ch]) = (db, dg);
         }
 
         // dx = γ·inv_std/m · (m·dy − dbeta − x̂·dgamma)
@@ -79,10 +88,13 @@ impl BackwardOp for BnBack {
         let inv_std = self.inv_std.data();
         let m = self.m as f32;
         let mut dx = Tensor::zeros_like(&self.xhat);
-        for (i, o) in dx.data_mut().iter_mut().enumerate() {
-            let ch = self.layout.channel_of(i);
-            let term = m * dy[i] - dbeta[ch] as f32 - xhat[i] * dgamma[ch] as f32;
-            *o = gamma[ch] * inv_std[ch] / m * term;
+        let out = dx.data_mut();
+        for (ch, r) in self.layout.planes(out.len()) {
+            let scale = gamma[ch] * inv_std[ch] / m;
+            let (db, dg) = (dbeta[ch] as f32, dgamma[ch] as f32);
+            for ((o, &g), &xh) in out[r.clone()].iter_mut().zip(&dy[r.clone()]).zip(&xhat[r]) {
+                *o = scale * (m * g - db - xh * dg);
+            }
         }
 
         ctx.accumulate(self.x, dx);
@@ -109,16 +121,16 @@ fn normalize(
     let inv_std =
         Tensor::from_vec(var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect(), var.dims());
     let mut xhat = x.clone();
+    let mut y = Tensor::zeros_like(x);
     let (md, isd) = (mean.data(), inv_std.data());
-    for (i, v) in xhat.data_mut().iter_mut().enumerate() {
-        let ch = layout.channel_of(i);
-        *v = (*v - md[ch]) * isd[ch];
-    }
-    let mut y = xhat.clone();
     let (gd, bd) = (gamma.data(), beta.data());
-    for (i, v) in y.data_mut().iter_mut().enumerate() {
-        let ch = layout.channel_of(i);
-        *v = *v * gd[ch] + bd[ch];
+    let (xd, yd) = (xhat.data_mut(), y.data_mut());
+    for (ch, r) in layout.planes(xd.len()) {
+        let (m, s, g, b) = (md[ch], isd[ch], gd[ch], bd[ch]);
+        for (v, o) in xd[r.clone()].iter_mut().zip(&mut yd[r]) {
+            *v = (*v - m) * s;
+            *o = *v * g + b;
+        }
     }
     (y, xhat, inv_std)
 }
@@ -191,14 +203,22 @@ impl Graph {
                 let dy = ctx.grad.data();
                 let gd = ctx.value(self.gamma).data();
                 let isd = self.inv_std.data();
+                let xhat = self.xhat.data();
                 let mut dx = Tensor::zeros_like(&self.xhat);
                 let mut dgamma = vec![0.0f64; c];
                 let mut dbeta = vec![0.0f64; c];
-                for (i, o) in dx.data_mut().iter_mut().enumerate() {
-                    let ch = self.layout.channel_of(i);
-                    *o = dy[i] * gd[ch] * isd[ch];
-                    dgamma[ch] += (dy[i] * self.xhat.data()[i]) as f64;
-                    dbeta[ch] += dy[i] as f64;
+                let out = dx.data_mut();
+                for (ch, r) in self.layout.planes(out.len()) {
+                    let (g, s) = (gd[ch], isd[ch]);
+                    let (mut dg, mut db) = (dgamma[ch], dbeta[ch]);
+                    for ((o, &d), &xh) in
+                        out[r.clone()].iter_mut().zip(&dy[r.clone()]).zip(&xhat[r])
+                    {
+                        *o = d * g * s;
+                        dg += (d * xh) as f64;
+                        db += d as f64;
+                    }
+                    (dgamma[ch], dbeta[ch]) = (dg, db);
                 }
                 ctx.accumulate(self.x, dx);
                 ctx.accumulate(

@@ -2,8 +2,8 @@
 //!
 //! Dense, contiguous, row-major `f32` tensors with the operation set needed
 //! by the LC-ASGD reproduction: elementwise arithmetic, rayon-parallel
-//! blocked matrix multiplication, reductions, and im2col-based convolution
-//! helpers.
+//! blocked matrix multiplication, reductions, and direct convolution
+//! kernels.
 //!
 //! The crate is deliberately small and predictable rather than general:
 //! every tensor is contiguous and owns its storage, so there are no stride

@@ -1,11 +1,9 @@
 //! Cache-blocked, register-tiled GEMM with panel packing.
 //!
-//! One kernel serves `matmul`, `matmul_tn`, `matmul_nt` and the fused conv
-//! path: the operand layout is abstracted as a [`MatRef`] (base slice plus
-//! row/column strides), so a transposed operand is handled by the packing
-//! routine rather than by a materialized transpose, and the conv path
-//! substitutes a virtual im2col operand by packing patch values directly
-//! into the B panel (see `ops::conv`).
+//! One kernel serves `matmul`, `matmul_tn` and `matmul_nt`: the operand
+//! layout is abstracted as a [`MatRef`] (base slice plus row/column
+//! strides), so a transposed operand is handled by the packing routine
+//! rather than by a materialized transpose.
 //!
 //! Blocking follows the classic three-loop structure (Goto/BLIS): the
 //! output is swept in `NC`-wide column slabs; for each slab, `KC`-deep
@@ -135,7 +133,7 @@ fn micro_kernel(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
 ///
 /// # Safety
 /// Caller must ensure the host supports AVX2 and FMA (see
-/// [`avx2_fma_available`]).
+/// [`cpu_has_fma`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn micro_kernel_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
@@ -168,11 +166,40 @@ unsafe fn micro_kernel_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; 
     }
 }
 
-/// One-time CPUID probe for the fast micro-kernel. A process-global
-/// constant: every thread sees the same answer, so kernel selection can
-/// never vary across a parallel band split.
+#[cfg(test)]
+thread_local! {
+    static FORCE_PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with the portable kernels selected on the current thread, so
+/// tests cover them on AVX2 hosts too. The choice is made once per kernel
+/// call by the calling thread, so fan-outs inside `f` follow it.
+#[cfg(test)]
+pub(crate) fn with_portable_kernels<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCE_PORTABLE.with(|c| c.set(self.0));
+        }
+    }
+    let _guard = Restore(FORCE_PORTABLE.with(|c| c.replace(true)));
+    f()
+}
+
+/// Whether the AVX2+FMA kernels (GEMM micro-kernel and direct conv) run.
+/// A process-global constant outside tests: every thread sees the same
+/// answer, so kernel selection can never vary across a parallel split.
+pub(crate) fn fma_available() -> bool {
+    #[cfg(test)]
+    if FORCE_PORTABLE.with(|c| c.get()) {
+        return false;
+    }
+    cpu_has_fma()
+}
+
+/// One-time CPUID probe: whether the AVX2+FMA kernels may run at all.
 #[cfg(target_arch = "x86_64")]
-fn avx2_fma_available() -> bool {
+pub(crate) fn cpu_has_fma() -> bool {
     use std::sync::OnceLock;
     static AVAIL: OnceLock<bool> = OnceLock::new();
     *AVAIL.get_or_init(|| {
@@ -180,31 +207,33 @@ fn avx2_fma_available() -> bool {
     })
 }
 
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn cpu_has_fma() -> bool {
+    false
+}
+
 #[inline(always)]
-fn micro_kernel_dispatch(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
+fn micro_kernel_dispatch(fma: bool, ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: guarded by the CPUID probe above.
+    if fma && cpu_has_fma() {
+        // SAFETY: the CPUID probe found AVX2 and FMA.
         unsafe { micro_kernel_avx2(ap, bp, kc, acc) };
         return;
     }
+    let _ = fma;
     micro_kernel(ap, bp, kc, acc)
 }
 
 /// Serial blocked GEMM over a band of output rows:
-/// `c[0..rows, 0..n] += A[0..rows, 0..k] · B[0..k, 0..n]`, with B supplied
-/// by a panel-packing callback (strided matrix or virtual im2col operand).
-///
-/// `pack_b(dst, pc, kc, jc, nc)` must fill `dst` with the
-/// `B[pc..pc+kc, jc..jc+nc]` panel in the layout [`pack_b_strided`]
-/// produces.
-pub(crate) fn gemm_band(
+/// `c[0..rows, 0..n] += A[0..rows, 0..k] · B[0..k, 0..n]`.
+fn gemm_band(
+    fma: bool,
     c: &mut [f32],
     rows: usize,
     n: usize,
     k: usize,
     a: MatRef<'_>,
-    pack_b: &(impl Fn(&mut [f32], usize, usize, usize, usize) + Sync),
+    b: MatRef<'_>,
 ) {
     debug_assert_eq!(c.len(), rows * n);
     // Size the packing buffers to the problem (capped at one full block) so
@@ -219,7 +248,7 @@ pub(crate) fn gemm_band(
         let jpanels = nc.div_ceil(NR);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(&mut bpack, pc, kc, jc, nc);
+            pack_b_strided(&mut bpack, b, pc, kc, jc, nc);
             for ic in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - ic);
                 pack_a_strided(&mut apack, a, ic, mc, pc, kc);
@@ -233,7 +262,7 @@ pub(crate) fn gemm_band(
                         let i0 = ic + q * MR;
                         let tile_rows = MR.min(ic + mc - i0);
                         let mut acc = [[0.0f32; NR]; MR];
-                        micro_kernel_dispatch(ap, bp, kc, &mut acc);
+                        micro_kernel_dispatch(fma, ap, bp, kc, &mut acc);
                         for (r, acc_row) in acc.iter().enumerate().take(tile_rows) {
                             let out = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + lanes];
                             for (o, &v) in out.iter_mut().zip(acc_row) {
@@ -263,11 +292,9 @@ pub(crate) fn gemm(
     b: MatRef<'_>,
     threads: usize,
 ) {
-    let pack_b = |dst: &mut [f32], pc: usize, kc: usize, jc: usize, nc: usize| {
-        pack_b_strided(dst, b, pc, kc, jc, nc)
-    };
+    let fma = fma_available();
     if threads <= 1 || m < 2 {
-        gemm_band(c, m, n, k, a, &pack_b);
+        gemm_band(fma, c, m, n, k, a, b);
         return;
     }
     // Round the band size *up* so the last band can only be smaller than
@@ -275,7 +302,7 @@ pub(crate) fn gemm(
     let band = m.div_ceil(threads.min(m));
     c.par_chunks_mut(band * n).enumerate().for_each(|(bi, c_band)| {
         let rows = c_band.len() / n;
-        gemm_band(c_band, rows, n, k, a.offset_rows(bi * band), &pack_b);
+        gemm_band(fma, c_band, rows, n, k, a.offset_rows(bi * band), b);
     });
 }
 

@@ -5,8 +5,8 @@
 //! downstream in a backward pass.
 //!
 //! Dispatch thresholds and cache-blocking parameters are centralized in
-//! [`tune`]; the packed GEMM kernel shared by the matmul variants and the
-//! fused conv path lives in [`gemm`]. Deliberately-naive reference kernels
+//! [`tune`]; the packed GEMM kernel shared by the matmul variants lives in
+//! [`gemm`], the direct conv kernels in [`conv`]. Deliberately-naive reference kernels
 //! for differential testing live in [`reference`] (test builds and the
 //! `reference-kernels` feature only).
 

@@ -6,8 +6,8 @@
 //! a private copy. The values are sized for a generic x86-64 cache
 //! hierarchy (32 KiB L1d, 256 KiB–1 MiB L2) and for this workspace's two
 //! extremes: the LSTM predictors' tiny `[1, h] × [h, 4h]` products, which
-//! must never pay packing or thread-dispatch overhead, and the ResNet conv
-//! GEMMs, which are large enough that cache misses dominate.
+//! must never pay packing or thread-dispatch overhead, and the large
+//! products where cache misses dominate.
 //!
 //! Changing a blocking parameter cannot change results across thread
 //! counts: parallel kernels split only the output-row dimension, and a
@@ -74,6 +74,23 @@ pub fn gemm_threads(m: usize, n: usize, k: usize) -> usize {
     }
 }
 
+/// Minimum multiply-adds (`n·cout·oh·ow·cin·k²`) in one direct conv call
+/// before it fans out. Every fan-out of the rayon shim spawns OS threads
+/// (about 50 µs per dispatch on a 2-vCPU VM), while a tiny-ResNet conv call
+/// does 15–90 µs of work; below this size the dispatch costs more than the
+/// split saves.
+pub const CONV_PAR_MACS: usize = 1 << 23;
+
+/// Number of threads a direct conv call with `macs` multiply-adds should
+/// fan out to (1 = stay serial). Shape-only, like [`gemm_threads`].
+pub fn conv_threads(macs: usize) -> usize {
+    if macs >= CONV_PAR_MACS {
+        rayon::current_num_threads().max(1)
+    } else {
+        1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,8 +105,14 @@ mod tests {
 
     #[test]
     fn resnet_gemms_take_the_packed_path() {
-        // Per-image CIFAR conv3x3 GEMM: cout=64, plen=576, oh·ow=1024.
         assert!(use_packed_gemm(64, 1024, 576));
+    }
+
+    #[test]
+    fn tiny_resnet_convs_stay_serial() {
+        // The widest tiny-ResNet conv, 32->32 3x3 on 3x3 maps, at the
+        // evaluation batch of 64; training batches are 16.
+        assert_eq!(conv_threads(64 * 32 * 9 * 32 * 9), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential tests: optimized kernels vs the naive reference kernels.
 //!
 //! Every optimized code path (packed GEMM for the three matmul variants,
-//! the fused conv forward/backward, the fused EMA update) is compared
+//! the direct conv forward/backward, the fused EMA update) is compared
 //! against the deliberately-naive loops in `ops::reference` over randomized
 //! shapes chosen to hit the blocking edge cases: tails smaller than the
 //! MR/NR register tile, k = 1, single rows/columns, shapes straddling the

@@ -184,13 +184,22 @@ mod thread_invariance {
 
     #[test]
     fn conv_kernels_are_thread_invariant() {
-        let spec = Conv2dSpec { in_channels: 3, out_channels: 5, kernel: 3, stride: 1, padding: 1 };
-        let x = randn(&[4, 3, 10, 10], 5);
-        let w = randn(&[5, 3, 3, 3], 6);
-        let dy = randn(&[4, 5, 10, 10], 7);
-        pin("conv2d", || conv2d(&x, &w, &spec));
-        pin("conv2d_dw", || conv2d_dw(&dy, &x, &spec));
-        pin("conv2d_dx", || conv2d_dx(&dy, &w, &spec, 10, 10));
+        // An odd channel count; a tiny-ResNet stage-3 conv at its evaluation
+        // batch; and a plen > 256 shape big enough to fan out.
+        for (n, cin, cout, stride, hw) in [(4, 3, 5, 1, 10), (64, 16, 32, 2, 5), (8, 40, 32, 1, 16)]
+        {
+            let spec =
+                Conv2dSpec { in_channels: cin, out_channels: cout, kernel: 3, stride, padding: 1 };
+            let x = randn(&[n, cin, hw, hw], 5);
+            let w = randn(&[cout, cin, 3, 3], 6);
+            let (oh, ow) = spec.out_hw(hw, hw);
+            let dy = randn(&[n, cout, oh, ow], 7);
+            pin("conv2d", || conv2d(&x, &w, &spec));
+            pin("conv2d_dw", || conv2d_dw(&dy, &x, &spec));
+            pin("conv2d_dx", || conv2d_dx(&dy, &w, &spec, hw, hw));
+        }
+        let big = 8 * 32 * 16 * 16 * 40 * 9;
+        assert!(big >= lc_asgd::tensor::ops::tune::CONV_PAR_MACS, "the last shape must fan out");
     }
 
     #[test]
