@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Crates this sequence of PRs actively touches; lint-gated at -D warnings.
-TOUCHED=(-p lcasgd-tensor -p lcasgd-simcluster -p lcasgd-netcluster -p lcasgd-core -p lcasgd-bench -p lc-asgd)
+TOUCHED=(-p lcasgd-tensor -p lcasgd-autograd -p lcasgd-nn -p lcasgd-simcluster -p lcasgd-netcluster -p lcasgd-core -p lcasgd-bench -p lc-asgd)
 
 echo "==> cargo build --release"
 cargo build --release
@@ -56,13 +56,15 @@ timeout 300 cargo test -q --release --test trace_integration
 
 # Kernel correctness: the packed/fused kernels must match the naive
 # reference kernels on randomized shapes that straddle every blocking
-# edge, and public tensor ops must be bitwise identical across thread
-# counts. Run in release so the differential proptests cover all cases
-# quickly (and so the AVX2 dispatch path — the one production uses — is
-# what gets tested).
+# edge, public tensor ops must be bitwise identical across thread
+# counts, and the graph-free LSTM predictors must stay bitwise identical
+# to their autograd formulation. Run in release so the differential
+# proptests cover all cases quickly (and so the AVX2 dispatch path — the
+# one production uses — is what gets tested).
 echo "==> kernel differential + determinism suites (hard 300s timeout)"
 timeout 300 cargo test -q --release -p lcasgd-tensor --test kernel_differential
 timeout 300 cargo test -q --release --test properties thread_invariance
+timeout 300 cargo test -q --release -p lcasgd-nn lstm::equivalence_tests
 
 # Reactor scale-out + wire codecs: 256-worker zero-loss delivery,
 # coalesced-reply byte identity, mid-frame-disconnect chaos, and the

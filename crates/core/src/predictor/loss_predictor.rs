@@ -103,26 +103,18 @@ impl LossPredictor {
     }
 
     /// Installs a snapshot into an identically configured predictor (same
-    /// hidden width/layer count). Panics on an architecture mismatch.
-    pub fn restore(&mut self, snap: &LossPredictorSnapshot) {
+    /// hidden width and layer count). Every shape is checked first: a
+    /// mismatched snapshot is an error naming the mismatch and leaves the
+    /// predictor unchanged.
+    pub fn restore(&mut self, snap: &LossPredictorSnapshot) -> Result<(), String> {
+        super::check_params(&self.lstm, &snap.params)?;
+        let state = super::state_from_snapshot(&self.lstm, &snap.state)?;
         self.lstm.set_flat_params(&snap.params);
-        assert_eq!(snap.state.len(), self.state.layers.len(), "LSTM layer count mismatch");
-        let hidden = self.lstm.hidden();
-        self.state = LstmState {
-            layers: snap
-                .state
-                .iter()
-                .map(|(h, c)| {
-                    (
-                        Tensor::from_vec(h.clone(), &[1, hidden]),
-                        Tensor::from_vec(c.clone(), &[1, hidden]),
-                    )
-                })
-                .collect(),
-        };
+        self.state = state;
         self.last_loss = snap.last_loss;
         self.next_forecast = snap.next_forecast;
         self.train_steps = snap.train_steps;
+        Ok(())
     }
 
     /// Algorithm 3: consume the arriving loss `ℓ_m`, train online on

@@ -171,33 +171,35 @@ impl StepPredictor {
     }
 
     /// Installs a snapshot into an identically configured predictor (same
-    /// hidden width, layer count and worker count). Panics on a mismatch.
-    pub fn restore(&mut self, snap: &StepPredictorSnapshot) {
-        self.lstm.set_flat_params(&snap.params);
-        assert_eq!(snap.streams.len(), self.num_workers, "worker count mismatch");
-        let hidden = self.lstm.hidden();
-        self.streams = snap
+    /// hidden width, layer count and worker count). Every shape is checked
+    /// first: a mismatched snapshot is an error naming the mismatch and
+    /// leaves the predictor unchanged.
+    pub fn restore(&mut self, snap: &StepPredictorSnapshot) -> Result<(), String> {
+        super::check_params(&self.lstm, &snap.params)?;
+        if snap.streams.len() != self.num_workers {
+            return Err(format!(
+                "snapshot holds {} worker streams but the predictor serves {} workers",
+                snap.streams.len(),
+                self.num_workers
+            ));
+        }
+        let streams = snap
             .streams
             .iter()
-            .map(|(layers, prev)| WorkerStream {
-                state: LstmState {
-                    layers: layers
-                        .iter()
-                        .map(|(h, c)| {
-                            (
-                                Tensor::from_vec(h.clone(), &[1, hidden]),
-                                Tensor::from_vec(c.clone(), &[1, hidden]),
-                            )
-                        })
-                        .collect(),
-                },
-                prev: *prev,
+            .map(|(layers, prev)| {
+                Ok(WorkerStream {
+                    state: super::state_from_snapshot(&self.lstm, layers)?,
+                    prev: *prev,
+                })
             })
-            .collect();
+            .collect::<Result<_, String>>()?;
+        self.lstm.set_flat_params(&snap.params);
+        self.streams = streams;
         self.comm_scale = snap.comm_scale;
         self.comp_scale = snap.comp_scale;
         self.samples = snap.samples;
         self.train_steps = snap.train_steps;
+        Ok(())
     }
 }
 

@@ -818,11 +818,17 @@ fn state_snapshot(
     }
 }
 
-/// Adopts a checkpoint's server state into the shard group (checkpoint
-/// resume and failover promotion). Validates *before* mutating: a
-/// mismatched worker count, weight length, or shard-version count is a
-/// descriptive error, never a panic.
-fn adopt_server_state(group: &mut ShardGroup, ck: &TrainingCheckpoint) -> Result<(), String> {
+/// Adopts a checkpoint's server state into the shard group and the
+/// predictors (checkpoint resume and failover promotion). Each part is
+/// validated *before* it is mutated: a mismatched worker count, weight
+/// length, shard-version count, or predictor shape is a descriptive
+/// error, never a panic.
+fn adopt_server_state(
+    group: &mut ShardGroup,
+    loss_pred: &mut LossPredictor,
+    step_pred: &mut StepPredictor,
+    ck: &TrainingCheckpoint,
+) -> Result<(), String> {
     if ck.weights.len() != group.spec().len() {
         return Err(format!(
             "checkpoint holds {} weights but the model flattens to {}",
@@ -836,6 +842,12 @@ fn adopt_server_state(group: &mut ShardGroup, ck: &TrainingCheckpoint) -> Result
             ck.shard_versions.len(),
             group.count()
         ));
+    }
+    if let Some(lp) = &ck.loss_pred {
+        loss_pred.restore(lp).map_err(|e| format!("loss predictor: {e}"))?;
+    }
+    if let Some(sp) = &ck.step_pred {
+        step_pred.restore(sp).map_err(|e| format!("step predictor: {e}"))?;
     }
     group.restore_arrival_state(&ck.arrival)?;
     if ck.shard_versions.is_empty() {
@@ -1061,18 +1073,12 @@ pub fn run_cluster_with<B: ClusterBackend>(
         // A mismatched checkpoint (wrong worker count, wrong model, wrong
         // shard layout) is a descriptive error surfaced to the caller,
         // not an assertion failure.
-        adopt_server_state(&mut group, ck)
+        adopt_server_state(&mut group, &mut loss_pred, &mut step_pred, ck)
             .map_err(|e| ClusterError::Protocol(format!("cannot resume from checkpoint: {e}")))?;
         applied = ck.applied as usize;
         staleness = ck.staleness.clone();
         losses = ck.epoch_losses.clone();
         records = ck.epochs.clone();
-        if let Some(lp) = &ck.loss_pred {
-            loss_pred.restore(lp);
-        }
-        if let Some(sp) = &ck.step_pred {
-            step_pred.restore(sp);
-        }
         {
             let mut ns = nodes.lock();
             for (w, &(reshuffles, pos)) in ck.worker_batches.iter().enumerate() {
@@ -1687,7 +1693,9 @@ pub fn run_cluster_with<B: ClusterBackend>(
                             let lost = applied as u64 - ck.applied;
                             let from_epoch = fence.epoch();
                             // Adopt the standby's mirrored state wholesale.
-                            if let Err(error) = adopt_server_state(&mut group, &ck) {
+                            if let Err(error) =
+                                adopt_server_state(&mut group, &mut loss_pred, &mut step_pred, &ck)
+                            {
                                 // A mirror the promoted layout cannot adopt
                                 // is as good as a lost standby: record it
                                 // and keep the primary's state.
@@ -1707,12 +1715,6 @@ pub fn run_cluster_with<B: ClusterBackend>(
                                 // updates: recomputed when the boundary is
                                 // crossed again.
                                 records.pop();
-                            }
-                            if let Some(lp) = &ck.loss_pred {
-                                loss_pred.restore(lp);
-                            }
-                            if let Some(sp) = &ck.step_pred {
-                                step_pred.restore(sp);
                             }
                             // DC backups and half-assembled pushes
                             // reference pulls from the dead primary.
@@ -1794,10 +1796,14 @@ pub fn run_cluster_with<B: ClusterBackend>(
                             group.load_weights(&good.weights);
                             group.set_bn(good.bn.clone());
                             if let Some(lp) = &good.loss_pred {
-                                loss_pred.restore(lp);
+                                loss_pred
+                                    .restore(lp)
+                                    .expect("the last-good snapshot is this predictor's own");
                             }
                             if let Some(sp) = &good.step_pred {
-                                step_pred.restore(sp);
+                                step_pred
+                                    .restore(sp)
+                                    .expect("the last-good snapshot is this predictor's own");
                             }
                             s.rolled_back(applied as u64, good.applied);
                         }
@@ -2452,6 +2458,52 @@ mod tests {
         let msg = format!("{err:?}");
         assert!(msg.contains("cannot resume"), "descriptive error, got: {msg}");
         assert!(msg.contains('4') && msg.contains('2'), "names both counts: {msg}");
+    }
+
+    #[test]
+    fn checkpoint_predictor_shape_mismatch_is_a_descriptive_error() {
+        // A truncated predictor parameter vector or a short recurrent
+        // state used to panic inside the predictors' `restore`; resuming
+        // from such a checkpoint must fail with an error naming it.
+        let (train, test) = data();
+        let build = |rng: &mut Rng| mlp(&[6, 16, 4], false, rng);
+        let mut cfg = blob_cfg(Algorithm::LcAsgd, 2);
+        cfg.epochs = 2;
+        let dir = std::env::temp_dir().join("lcasgd-predictor-mismatch-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lc.ck");
+        let opts = RunOptions {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: 5,
+            ..RunOptions::default()
+        };
+        run_cluster_with(ThreadCluster::new(2), &cfg, &build, &train, &test, opts).unwrap();
+        let ck = TrainingCheckpoint::load(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut truncated = ck.clone();
+        truncated.loss_pred.as_mut().expect("LC-ASGD checkpoints its predictors").params.pop();
+        let mut short_h = ck.clone();
+        short_h.loss_pred.as_mut().unwrap().state[0].0.pop();
+        let mut short_c = ck.clone();
+        short_c.step_pred.as_mut().expect("LC-ASGD checkpoints its predictors").streams[1].0[1]
+            .1
+            .pop();
+        for (bad, names) in [
+            (truncated, "loss predictor: snapshot holds"),
+            (short_h, "loss predictor: snapshot LSTM layer 0"),
+            (short_c, "step predictor: snapshot LSTM layer 1"),
+        ] {
+            let opts = RunOptions { resume: Some(bad), ..RunOptions::default() };
+            let err = run_cluster_with(ThreadCluster::new(2), &cfg, &build, &train, &test, opts)
+                .expect_err("a mismatched predictor snapshot must be an error, not a panic");
+            let msg = format!("{err:?}");
+            assert!(msg.contains("cannot resume from checkpoint"), "descriptive error: {msg}");
+            assert!(msg.contains(names), "names the mismatch ({names}): {msg}");
+        }
+        // The untouched checkpoint still resumes.
+        let opts = RunOptions { resume: Some(ck), ..RunOptions::default() };
+        run_cluster_with(ThreadCluster::new(2), &cfg, &build, &train, &test, opts).unwrap();
     }
 
     #[test]
