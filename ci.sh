@@ -57,14 +57,16 @@ timeout 300 cargo test -q --release --test trace_integration
 # Kernel correctness: the packed/fused kernels must match the naive
 # reference kernels on randomized shapes that straddle every blocking
 # edge, public tensor ops must be bitwise identical across thread
-# counts, and the graph-free LSTM predictors must stay bitwise identical
-# to their autograd formulation. Run in release so the differential
+# counts, and the graph-free LSTM predictors and network inference
+# (`Network::infer`, `evaluate`) must stay bitwise identical to their
+# autograd formulation. Run in release so the differential
 # proptests cover all cases quickly (and so the AVX2 dispatch path — the
 # one production uses — is what gets tested).
 echo "==> kernel differential + determinism suites (hard 300s timeout)"
 timeout 300 cargo test -q --release -p lcasgd-tensor --test kernel_differential
 timeout 300 cargo test -q --release --test properties thread_invariance
 timeout 300 cargo test -q --release -p lcasgd-nn lstm::equivalence_tests
+timeout 300 cargo test -q --release -p lcasgd-nn infer_equivalence_tests
 
 # Reactor scale-out + wire codecs: 256-worker zero-loss delivery,
 # coalesced-reply byte identity, mid-frame-disconnect chaos, and the

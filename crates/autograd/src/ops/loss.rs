@@ -57,22 +57,29 @@ pub fn softmax_rows(logits: &Tensor) -> Tensor {
     out
 }
 
+/// Mean softmax cross-entropy of logits `[b, n]` against integer class
+/// labels, with the softmax probabilities it was computed from: the value
+/// of [`Graph::softmax_cross_entropy`].
+pub fn softmax_cross_entropy_value(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+    assert_eq!(logits.dims()[0], labels.len(), "label count mismatch");
+    let n = logits.dims()[1];
+    let probs = softmax_rows(logits);
+    let mut loss = 0.0f64;
+    for (r, &label) in labels.iter().enumerate() {
+        assert!(label < n, "label {label} out of {n} classes");
+        loss -= (probs.data()[r * n + label].max(1e-12) as f64).ln();
+    }
+    ((loss / labels.len() as f64) as f32, probs)
+}
+
 impl Graph {
     /// Mean softmax cross-entropy of logits `[b, n]` against integer class
     /// labels. Returns a scalar node. This is the `ℓ(f_w(x), y)` of the
     /// paper's Formula 4.
     pub fn softmax_cross_entropy(&mut self, x: Var, labels: &[usize]) -> Var {
-        let logits = self.value(x);
-        assert_eq!(logits.dims()[0], labels.len(), "label count mismatch");
-        let n = logits.dims()[1];
-        let probs = softmax_rows(logits);
-        let mut loss = 0.0f64;
-        for (r, &label) in labels.iter().enumerate() {
-            assert!(label < n, "label {label} out of {n} classes");
-            loss -= (probs.data()[r * n + label].max(1e-12) as f64).ln();
-        }
-        let v = Tensor::scalar((loss / labels.len() as f64) as f32);
-        self.push(v, Some(Box::new(CrossEntropyBack { x, labels: labels.to_vec(), probs })))
+        let (loss, probs) = softmax_cross_entropy_value(self.value(x), labels);
+        let back = CrossEntropyBack { x, labels: labels.to_vec(), probs };
+        self.push(Tensor::scalar(loss), Some(Box::new(back)))
     }
 
     /// Mean squared error of `x` against a constant `target` of the same

@@ -109,6 +109,46 @@ impl BackwardOp for BnBack {
     }
 }
 
+/// Per-channel `1/√(σ²+ε)`.
+fn inv_std(var: &Tensor, eps: f32) -> Tensor {
+    Tensor::from_vec(var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect(), var.dims())
+}
+
+/// The channel layout of a rank-2 (`[b, n]`) or rank-4 (NCHW) activation.
+fn inference_layout(x: &Tensor) -> Layout {
+    match x.shape().rank() {
+        2 => Layout::Rows { n: x.dims()[1] },
+        4 => Layout::Nchw { c: x.dims()[1], hw: x.dims()[2] * x.dims()[3] },
+        r => panic!("batch_norm_inference on rank {r}"),
+    }
+}
+
+/// Inference-mode BatchNorm in place, with fixed (running) statistics:
+/// `x ← (x − μ)·(1/√(σ²+ε))·γ + β` per channel, for NCHW (rank 4) and
+/// `[b, n]` (rank 2) inputs. The per-element arithmetic is that of the
+/// training-mode normalization; [`Graph::batch_norm_inference`] computes
+/// its value with this function too.
+pub fn batch_norm_inference_inplace(
+    x: &mut Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    mean: &Tensor,
+    var: &Tensor,
+    eps: f32,
+) {
+    let layout = inference_layout(x);
+    let inv_std = inv_std(var, eps);
+    let (md, isd) = (mean.data(), inv_std.data());
+    let (gd, bd) = (gamma.data(), beta.data());
+    let xd = x.data_mut();
+    for (ch, r) in layout.planes(xd.len()) {
+        let (m, s, g, b) = (md[ch], isd[ch], gd[ch], bd[ch]);
+        for v in &mut xd[r] {
+            *v = (*v - m) * s * g + b;
+        }
+    }
+}
+
 fn normalize(
     x: &Tensor,
     mean: &Tensor,
@@ -118,8 +158,7 @@ fn normalize(
     eps: f32,
     layout: &Layout,
 ) -> (Tensor, Tensor, Tensor) {
-    let inv_std =
-        Tensor::from_vec(var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect(), var.dims());
+    let inv_std = inv_std(var, eps);
     let mut xhat = x.clone();
     let mut y = Tensor::zeros_like(x);
     let (md, isd) = (mean.data(), inv_std.data());
@@ -171,6 +210,10 @@ impl Graph {
     /// Inference-mode normalization with fixed (running) statistics. The
     /// statistics are constants: gradients flow to `x`, `gamma`, `beta`
     /// only. Works for both NCHW (rank 4) and `[b, n]` (rank 2) inputs.
+    ///
+    /// Graph-free inference (`lcasgd_nn::Network::infer`) calls
+    /// [`batch_norm_inference_inplace`] directly; this op is its tape
+    /// oracle in the tests.
     pub fn batch_norm_inference(
         &mut self,
         x: Var,
@@ -181,19 +224,15 @@ impl Graph {
         eps: f32,
     ) -> Var {
         let xt = self.value(x);
-        let layout = match xt.shape().rank() {
-            2 => Layout::Rows { n: xt.dims()[1] },
-            4 => Layout::Nchw { c: xt.dims()[1], hw: xt.dims()[2] * xt.dims()[3] },
-            r => panic!("batch_norm_inference on rank {r}"),
-        };
-        let (y, xhat, inv_std) =
-            normalize(xt, mean, var, self.value(gamma), self.value(beta), eps, &layout);
+        let layout = inference_layout(xt);
+        let mut y = xt.clone();
+        batch_norm_inference_inplace(&mut y, self.value(gamma), self.value(beta), mean, var, eps);
         // Fixed stats ⇒ x̂ is an affine function of x alone: dx = dy·γ·inv_std.
         struct InferenceBack {
             x: Var,
             gamma: Var,
             beta: Var,
-            xhat: Tensor,
+            mean: Tensor,
             inv_std: Tensor,
             layout: Layout,
         }
@@ -202,20 +241,19 @@ impl Graph {
                 let c = self.layout.channels();
                 let dy = ctx.grad.data();
                 let gd = ctx.value(self.gamma).data();
-                let isd = self.inv_std.data();
-                let xhat = self.xhat.data();
-                let mut dx = Tensor::zeros_like(&self.xhat);
+                let (md, isd) = (self.mean.data(), self.inv_std.data());
+                let xd = ctx.value(self.x).data();
+                let mut dx = Tensor::zeros_like(ctx.value(self.x));
                 let mut dgamma = vec![0.0f64; c];
                 let mut dbeta = vec![0.0f64; c];
                 let out = dx.data_mut();
                 for (ch, r) in self.layout.planes(out.len()) {
-                    let (g, s) = (gd[ch], isd[ch]);
+                    let (g, m, s) = (gd[ch], md[ch], isd[ch]);
                     let (mut dg, mut db) = (dgamma[ch], dbeta[ch]);
-                    for ((o, &d), &xh) in
-                        out[r.clone()].iter_mut().zip(&dy[r.clone()]).zip(&xhat[r])
+                    for ((o, &d), &xv) in out[r.clone()].iter_mut().zip(&dy[r.clone()]).zip(&xd[r])
                     {
                         *o = d * g * s;
-                        dg += (d * xh) as f64;
+                        dg += (d * ((xv - m) * s)) as f64;
                         db += d as f64;
                     }
                     (dgamma[ch], dbeta[ch]) = (dg, db);
@@ -231,7 +269,14 @@ impl Graph {
                 );
             }
         }
-        let back = InferenceBack { x, gamma, beta, xhat, inv_std, layout };
+        let back = InferenceBack {
+            x,
+            gamma,
+            beta,
+            mean: mean.clone(),
+            inv_std: inv_std(var, eps),
+            layout,
+        };
         self.push(y, Some(Box::new(back)))
     }
 }

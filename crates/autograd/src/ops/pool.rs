@@ -43,64 +43,86 @@ impl BackwardOp for GlobalAvgPoolBack {
     }
 }
 
+/// `k×k` max pooling with stride `stride` over an NCHW input (no padding).
+/// `pick` is told the flat input index of each output element's maximum,
+/// in output order.
+fn max_pool(xt: &Tensor, k: usize, stride: usize, mut pick: impl FnMut(usize)) -> Tensor {
+    assert_eq!(xt.shape().rank(), 4, "max_pool2d expects NCHW");
+    let d = xt.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    assert!(h >= k && w >= k, "pool window larger than input");
+    let oh = (h - k) / stride + 1;
+    let ow = (w - k) / stride + 1;
+    let mut out = Tensor::zeros(&[n, c, oh, ow]);
+    let src = xt.data();
+    let dst = out.data_mut();
+    let mut o = 0usize;
+    for img in 0..n {
+        for ch in 0..c {
+            let plane = (img * c + ch) * h * w;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_i = 0usize;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let i = plane + (oy * stride + ky) * w + ox * stride + kx;
+                            if src[i] > best {
+                                best = src[i];
+                                best_i = i;
+                            }
+                        }
+                    }
+                    dst[o] = best;
+                    pick(best_i);
+                    o += 1;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Inference-mode `k×k` max pooling: the values of
+/// [`Graph::max_pool2d`] without the argmax bookkeeping.
+pub fn max_pool2d_inference(x: &Tensor, k: usize, stride: usize) -> Tensor {
+    max_pool(x, k, stride, |_| {})
+}
+
+/// Global average pooling `[n, c, h, w] -> [n, c]`, the value of
+/// [`Graph::global_avg_pool`].
+pub fn global_avg_pool_inference(xt: &Tensor) -> Tensor {
+    assert_eq!(xt.shape().rank(), 4, "global_avg_pool expects NCHW");
+    let d = xt.dims();
+    let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
+    let mut out = Tensor::zeros(&[n, c]);
+    let src = xt.data();
+    for (i, o) in out.data_mut().iter_mut().enumerate() {
+        let plane = &src[i * hw..(i + 1) * hw];
+        *o = plane.iter().sum::<f32>() / hw as f32;
+    }
+    out
+}
+
 impl Graph {
     /// `k×k` max pooling with stride `stride` over an NCHW input. The input
     /// spatial size must be divisible by the window (no padding), matching
     /// how ResNet's pools are configured.
     pub fn max_pool2d(&mut self, x: Var, k: usize, stride: usize) -> Var {
         let xt = self.value(x);
-        assert_eq!(xt.shape().rank(), 4, "max_pool2d expects NCHW");
         let d = xt.dims();
-        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-        assert!(h >= k && w >= k, "pool window larger than input");
-        let oh = (h - k) / stride + 1;
-        let ow = (w - k) / stride + 1;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0u32; n * c * oh * ow];
-        let src = xt.data();
-        {
-            let dst = out.data_mut();
-            let mut o = 0usize;
-            for img in 0..n {
-                for ch in 0..c {
-                    let plane = (img * c + ch) * h * w;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_i = 0usize;
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let i = plane + (oy * stride + ky) * w + ox * stride + kx;
-                                    if src[i] > best {
-                                        best = src[i];
-                                        best_i = i;
-                                    }
-                                }
-                            }
-                            dst[o] = best;
-                            argmax[o] = best_i as u32;
-                            o += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.push(out, Some(Box::new(MaxPoolBack { x, argmax, in_dims: [n, c, h, w] })))
+        let in_dims = [d[0], d[1], d[2], d[3]];
+        let mut argmax = Vec::new();
+        let out = max_pool(xt, k, stride, |i| argmax.push(i as u32));
+        self.push(out, Some(Box::new(MaxPoolBack { x, argmax, in_dims })))
     }
 
     /// Global average pooling: `[n, c, h, w] -> [n, c]`. ResNet's final
     /// spatial reduction before the classifier head.
     pub fn global_avg_pool(&mut self, x: Var) -> Var {
         let xt = self.value(x);
-        assert_eq!(xt.shape().rank(), 4, "global_avg_pool expects NCHW");
+        let out = global_avg_pool_inference(xt);
         let d = xt.dims();
-        let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
-        let mut out = Tensor::zeros(&[n, c]);
-        let src = xt.data();
-        for (i, o) in out.data_mut().iter_mut().enumerate() {
-            let plane = &src[i * hw..(i + 1) * hw];
-            *o = plane.iter().sum::<f32>() / hw as f32;
-        }
         self.push(out, Some(Box::new(GlobalAvgPoolBack { x, in_dims: [d[0], d[1], d[2], d[3]] })))
     }
 }

@@ -4,18 +4,33 @@
 //! * `kernel-baseline` — full run: measures with a generous sample count,
 //!   prints the table, and (re)writes `BENCH_kernels.json` in the working
 //!   directory. Run from the repo root to refresh the committed baseline.
-//! * `kernel-baseline --smoke` — CI mode: quick re-measurement, validates
-//!   the committed baseline's schema, and exits nonzero if any kernel's
-//!   optimized time regressed more than 20 % against it. When no baseline
-//!   file exists the gate is skipped (first run on a new checkout).
+//! * `kernel-baseline --smoke` — CI mode: re-measures with the committed
+//!   baseline's warm-up and sample count, validates its schema, and exits
+//!   nonzero if any kernel's optimized time regressed more than 20 %
+//!   against it. When no baseline file exists the gate is skipped (first
+//!   run on a new checkout).
 
 use lcasgd_bench::kernels::{
-    measure_all, parse_baseline, regression_gate, to_json, BASELINE_FILE, GATE_TOLERANCE,
+    baseline_samples, measure_all, parse_baseline, regression_gate, to_json, BASELINE_FILE,
+    GATE_TOLERANCE,
 };
+
+/// Samples per kernel of a full run (after one warm-up call).
+const SAMPLES: usize = 11;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let samples = if smoke { 3 } else { 11 };
+    // Smoke compares minima against the committed ones, so it takes as many
+    // samples as they did: a minimum over fewer samples reads high.
+    let committed = if smoke { std::fs::read_to_string(BASELINE_FILE).ok() } else { None };
+    let samples = match committed.as_deref().map(baseline_samples) {
+        None => SAMPLES,
+        Some(Ok(n)) => n,
+        Some(Err(e)) => {
+            eprintln!("kernel-baseline: committed {BASELINE_FILE} is invalid: {e}");
+            std::process::exit(1);
+        }
+    };
 
     eprintln!(
         "kernel-baseline: measuring {} mode ({} samples per kernel, min-of-samples)...",
@@ -40,8 +55,8 @@ fn main() {
     }
 
     if smoke {
-        match std::fs::read_to_string(BASELINE_FILE) {
-            Ok(json) => {
+        match committed {
+            Some(json) => {
                 let baseline = match parse_baseline(&json) {
                     Ok(b) => b,
                     Err(e) => {
@@ -59,7 +74,7 @@ fn main() {
                     GATE_TOLERANCE * 100.0
                 );
             }
-            Err(_) => {
+            None => {
                 println!(
                     "kernel-baseline --smoke: no {BASELINE_FILE} found; regression gate skipped"
                 );

@@ -412,6 +412,19 @@ fn extract_number(obj: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// The sample count a `BENCH_kernels.json` document was measured with
+/// (its `"samples"` field). The smoke gate measures with the same count,
+/// so both sides of the comparison are minima over equally many runs.
+pub fn baseline_samples(json: &str) -> Result<usize, String> {
+    let n = extract_number(json, "samples")
+        .ok_or_else(|| "baseline file has no \"samples\" field".to_string())?;
+    if n >= 1.0 && n.fract() == 0.0 {
+        Ok(n as usize)
+    } else {
+        Err(format!("baseline file has an invalid sample count {n}"))
+    }
+}
+
 /// Parses (and schema-validates) a `BENCH_kernels.json` document. This is
 /// a purpose-built scanner for the exact shape [`to_json`] emits, not a
 /// general JSON parser — the workspace has no serde and does not want one.
@@ -516,6 +529,14 @@ mod tests {
         assert_eq!(parsed[0].shape, "8x8x8");
         assert!((parsed[0].opt_ms - 0.5).abs() < 1e-9);
         assert!((parsed[1].opt_ms - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sample_count_roundtrips_and_is_validated() {
+        assert_eq!(baseline_samples(&to_json(&sample_reports(), 11)), Ok(11));
+        let zero = to_json(&sample_reports(), 11).replace("\"samples\": 11", "\"samples\": 0");
+        assert!(baseline_samples(&zero).unwrap_err().contains("invalid sample count"));
+        assert!(baseline_samples("{}").is_err());
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! `backward`, and (b) the batch statistics of every BatchNorm layer, in
 //! layer order — the payload a worker reports to the parameter server for
 //! Async-BN.
+//!
+//! Evaluation does not use the tape: each layer's `infer` computes the
+//! value its inference-mode `forward` would, by the same forward kernels,
+//! with no parameter clones, updating activations in place where the op
+//! allows (BatchNorm with running statistics, ReLU, the residual add).
 
-use lcasgd_autograd::ops::norm::BnBatchStats;
+use lcasgd_autograd::ops::norm::{batch_norm_inference_inplace, BnBatchStats};
+use lcasgd_autograd::ops::pool::{global_avg_pool_inference, max_pool2d_inference};
 use lcasgd_autograd::{Graph, Var};
-use lcasgd_tensor::ops::conv::Conv2dSpec;
+use lcasgd_tensor::ops::conv::{conv2d, Conv2dSpec};
 use lcasgd_tensor::{init, Rng, Tensor};
 
 /// Per-forward bookkeeping.
@@ -68,6 +74,11 @@ impl Linear {
         ctx.param_vars.push(b);
         g.linear(x, w, b)
     }
+
+    /// Graph-free inference: the value of [`forward`](Self::forward).
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        x.matmul_nt(&self.weight).add_rows(&self.bias)
+    }
 }
 
 /// Bias-free 2-D convolution (ResNet style: BatchNorm supplies the shift).
@@ -94,6 +105,11 @@ impl Conv2d {
         let w = g.leaf(self.weight.clone());
         ctx.param_vars.push(w);
         g.conv2d(x, w, self.spec)
+    }
+
+    /// Graph-free inference: the value of [`forward`](Self::forward).
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        conv2d(x, &self.weight, &self.spec)
     }
 }
 
@@ -145,6 +161,22 @@ impl BatchNorm {
         } else {
             g.batch_norm_inference(x, gamma, beta, &self.running_mean, &self.running_var, self.eps)
         }
+    }
+
+    /// Graph-free inference with the running statistics, in place: the
+    /// value of an inference-mode [`forward`](Self::forward).
+    pub fn infer(&self, mut x: Tensor) -> Tensor {
+        let (mean, var) = (&self.running_mean, &self.running_var);
+        batch_norm_inference_inplace(&mut x, &self.gamma, &self.beta, mean, var, self.eps);
+        x
+    }
+
+    /// [`infer`](Self::infer) followed by an in-place ReLU: the
+    /// pre-activation step of the residual blocks.
+    fn infer_relu(&self, x: Tensor) -> Tensor {
+        let mut y = self.infer(x);
+        y.relu_inplace();
+        y
     }
 }
 
@@ -215,6 +247,30 @@ impl ResidualBlock {
             None => x,
         };
         g.add(h, skip)
+    }
+
+    /// Graph-free inference: the value of an inference-mode
+    /// [`forward`](Self::forward), with the residual add in place.
+    pub fn infer(&self, x: Tensor) -> Tensor {
+        let (pre, skip) = pre_activate(&self.bn1, self.downsample.as_ref(), x);
+        let h = self.conv1.infer(&pre);
+        drop(pre);
+        let mut h = self.conv2.infer(&self.bn2.infer_relu(h));
+        h.add_assign(&skip);
+        h
+    }
+}
+
+/// A block's `BN-ReLU` pre-activation and its skip path: the projection of
+/// the pre-activated input, or the block input itself for identity skips.
+fn pre_activate(bn: &BatchNorm, proj: Option<&Conv2d>, x: Tensor) -> (Tensor, Tensor) {
+    match proj {
+        Some(proj) => {
+            let pre = bn.infer_relu(x);
+            let skip = proj.infer(&pre);
+            (pre, skip)
+        }
+        None => (bn.infer_relu(x.clone()), x),
     }
 }
 
@@ -291,6 +347,18 @@ impl BottleneckBlock {
         };
         g.add(h, skip)
     }
+
+    /// Graph-free inference: the value of an inference-mode
+    /// [`forward`](Self::forward), with the residual add in place.
+    pub fn infer(&self, x: Tensor) -> Tensor {
+        let (pre, skip) = pre_activate(&self.bn1, self.downsample.as_ref(), x);
+        let h = self.conv1.infer(&pre);
+        drop(pre);
+        let h = self.conv2.infer(&self.bn2.infer_relu(h));
+        let mut h = self.conv3.infer(&self.bn3.infer_relu(h));
+        h.add_assign(&skip);
+        h
+    }
 }
 
 /// A network layer. Composition is a tree: residual blocks nest layers.
@@ -330,6 +398,29 @@ impl Layer {
             }
             Layer::Residual(r) => r.forward(g, x, ctx),
             Layer::Bottleneck(b) => b.forward(g, x, ctx),
+        }
+    }
+
+    /// Graph-free inference: the value of an inference-mode
+    /// [`forward`](Self::forward), without a tape.
+    pub fn infer(&self, mut x: Tensor) -> Tensor {
+        match self {
+            Layer::Linear(l) => l.infer(&x),
+            Layer::Conv(c) => c.infer(&x),
+            Layer::BatchNorm(b) => b.infer(x),
+            Layer::Relu => {
+                x.relu_inplace();
+                x
+            }
+            Layer::MaxPool { k, stride } => max_pool2d_inference(&x, *k, *stride),
+            Layer::GlobalAvgPool => global_avg_pool_inference(&x),
+            Layer::Flatten => {
+                let d = x.dims();
+                let dims = [d[0], d[1..].iter().product()];
+                x.reshape(&dims)
+            }
+            Layer::Residual(r) => r.infer(x),
+            Layer::Bottleneck(b) => b.infer(x),
         }
     }
 

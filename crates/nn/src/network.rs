@@ -30,7 +30,9 @@ impl Network {
     }
 
     /// Forward pass over a batch; returns the logits node and the forward
-    /// context (parameter vars + BN batch stats).
+    /// context (parameter vars + BN batch stats). Training runs through
+    /// here; inference mode (`train = false`) is the tape oracle that the
+    /// tests hold [`infer`](Self::infer) to.
     pub fn forward(&self, g: &mut Graph, input: Tensor, train: bool) -> (Var, ForwardCtx) {
         let mut ctx = ForwardCtx::new(train);
         let mut x = g.constant(input);
@@ -38,6 +40,13 @@ impl Network {
             x = layer.forward(g, x, &mut ctx);
         }
         (x, ctx)
+    }
+
+    /// Graph-free inference over a batch: the logits an inference-mode
+    /// [`forward`](Self::forward) computes, bitwise, with no tape and no
+    /// parameter clones. Evaluation runs through here.
+    pub fn infer(&self, x: Tensor) -> Tensor {
+        self.layers.iter().fold(x, |x, layer| layer.infer(x))
     }
 
     /// Total number of parameter scalars.
@@ -256,5 +265,97 @@ mod tests {
         let mut g2 = Graph::new();
         let (y2, _) = net.forward(&mut g2, x, false);
         assert_eq!(g1.value(y1), g2.value(y2));
+    }
+}
+
+/// `Network::infer` against the tape oracle (`Network::forward(.., false)`),
+/// compared by `to_bits`.
+#[cfg(test)]
+pub(crate) mod infer_equivalence_tests {
+    use super::*;
+    use crate::layer::{BatchNorm, Conv2d, Linear};
+    use crate::mlp::mlp;
+    use crate::resnet::ResNetConfig;
+    use lcasgd_tensor::ops::conv::Conv2dSpec;
+    use lcasgd_tensor::Rng;
+
+    /// Random non-default parameters and BN running statistics (positive
+    /// variances away from 1, nonzero means), so every γ, β, μ and σ² term
+    /// of the inference normalization is live.
+    pub(crate) fn randomize(net: &mut Network, seed: u64) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let flat = Tensor::randn(&[net.num_params()], 0.3, &mut rng);
+        net.set_flat_params(flat.data());
+        let mut state = net.bn_state();
+        for (m, v) in state.means.iter_mut().zip(&mut state.vars) {
+            *m = Tensor::randn(m.dims(), 0.5, &mut rng);
+            *v = Tensor::randn(v.dims(), 1.0, &mut rng).abs_map().add_scalar(0.05);
+        }
+        net.set_bn_state(&state);
+    }
+
+    /// The networks the equivalence is pinned on, each with an input batch.
+    pub(crate) fn cases() -> Vec<(&'static str, Network, Vec<usize>)> {
+        let mut rng = Rng::seed_from_u64(161);
+        let spec = |cin, cout| Conv2dSpec {
+            in_channels: cin,
+            out_channels: cout,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let maxpool_stack = Network::new(vec![
+            Layer::Conv(Conv2d::new(spec(3, 6), &mut rng)),
+            Layer::BatchNorm(BatchNorm::new(6)),
+            Layer::Relu,
+            Layer::MaxPool { k: 2, stride: 2 },
+            Layer::Conv(Conv2d::new(spec(6, 5), &mut rng)),
+            Layer::Relu,
+            // Overlapping windows.
+            Layer::MaxPool { k: 3, stride: 1 },
+            Layer::Flatten,
+            Layer::Linear(Linear::new(5 * 2 * 2, 4, &mut rng)),
+        ]);
+        vec![
+            ("resnet tiny", ResNetConfig::tiny(3, 10).build(&mut rng), vec![3, 12, 12]),
+            ("resnet small", ResNetConfig::small(3, 10).build(&mut rng), vec![3, 12, 12]),
+            (
+                "resnet tiny_bottleneck",
+                ResNetConfig::tiny_bottleneck(3, 10).build(&mut rng),
+                vec![3, 12, 12],
+            ),
+            ("mlp with bn1d", mlp(&[7, 16, 12, 5], true, &mut rng), vec![7]),
+            ("maxpool stack", maxpool_stack, vec![3, 8, 8]),
+        ]
+    }
+
+    fn tape_logits(net: &Network, x: Tensor) -> Tensor {
+        let mut g = Graph::new();
+        let (y, _) = net.forward(&mut g, x, false);
+        g.value(y).clone()
+    }
+
+    fn assert_bitwise(what: &str, got: &Tensor, want: &Tensor) {
+        assert_eq!(got.dims(), want.dims(), "{what}: shape");
+        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn infer_is_bitwise_the_tape_inference_forward() {
+        for (k, (name, mut net, item_dims)) in cases().into_iter().enumerate() {
+            randomize(&mut net, 170 + k as u64);
+            let mut rng = Rng::seed_from_u64(180 + k as u64);
+            // A full evaluation batch, an odd one and a single row.
+            for batch in [64, 5, 1] {
+                let dims: Vec<usize> = std::iter::once(batch).chain(item_dims.clone()).collect();
+                let x = Tensor::randn(&dims, 1.0, &mut rng);
+                let want = tape_logits(&net, x.clone());
+                let got = net.infer(x);
+                assert!(got.is_finite(), "{name}: non-finite logits");
+                assert_bitwise(&format!("{name} at batch {batch}"), &got, &want);
+            }
+        }
     }
 }

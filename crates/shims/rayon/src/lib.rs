@@ -12,12 +12,39 @@
 //! band per thread — the callers already chunk at coarse granularity
 //! (bands of matmul rows, whole images), so band splitting loses nothing
 //! to rayon's work stealing at this workspace's sizes.
+//!
+//! The calling thread runs band 0 itself and spawns one thread per other
+//! band, so a fan-out to `n` threads starts `n − 1`. A fan-out started
+//! inside a band (an elementwise op inside a batch of a batch-parallel
+//! evaluation, say) runs serially on that band's thread: the outer
+//! fan-out already occupies the threads, and the callers' kernels give
+//! bitwise-identical results at any thread count, so running the inner
+//! one at one thread changes no result.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    /// Set while this thread runs a band of a fan-out; nested fan-outs
+    /// then run serially.
+    static IN_BAND: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` over the index band `lo..hi` with the "inside a band" flag set
+/// on the current thread. The previous value is restored on exit,
+/// including on panic, so a panicking band cannot leave a thread serial.
+fn run_band(lo: usize, hi: usize, f: impl Fn(usize)) {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_BAND.with(|c| c.set(self.0));
+        }
+    }
+    let _guard = Restore(IN_BAND.with(|c| c.replace(true)));
+    for i in lo..hi {
+        f(i);
+    }
 }
 
 /// Number of worker threads parallel operations fan out to.
@@ -90,34 +117,33 @@ pub trait IndexedParallelIterator: Sized + Sync {
         Enumerate { inner: self }
     }
 
-    /// Consumes every item, in parallel when the pool has >1 thread.
+    /// Consumes every item, in parallel when the pool has >1 thread and
+    /// the current thread is not already running a band of a fan-out.
+    /// The calling thread runs band 0.
     fn for_each<F>(self, f: F)
     where
         F: Fn(Self::Item) + Sync,
     {
         let n = self.len();
         let threads = current_num_threads().min(n);
-        if threads <= 1 {
+        if threads <= 1 || IN_BAND.with(|c| c.get()) {
             for i in 0..n {
                 // SAFETY: single-threaded pass touches each index once.
                 f(unsafe { self.get(i) });
             }
             return;
         }
-        let iter = &self;
-        let f = &f;
+        // SAFETY: bands are disjoint, so each index is claimed exactly once
+        // across all threads.
+        let item = |i| f(unsafe { self.get(i) });
+        let item = &item;
         std::thread::scope(|scope| {
-            for t in 0..threads {
+            for t in 1..threads {
                 let lo = t * n / threads;
                 let hi = (t + 1) * n / threads;
-                scope.spawn(move || {
-                    for i in lo..hi {
-                        // SAFETY: bands are disjoint, so each index is
-                        // claimed exactly once across all threads.
-                        f(unsafe { iter.get(i) });
-                    }
-                });
+                scope.spawn(move || run_band(lo, hi, item));
             }
+            run_band(0, n / threads, item);
         });
     }
 }
@@ -356,6 +382,55 @@ mod tests {
         });
         assert_eq!(inner, 7);
         assert_eq!(super::current_num_threads(), outer);
+    }
+
+    #[test]
+    fn nested_fanout_covers_everything_serially() {
+        // Each outer item records, for every inner element, the thread that
+        // ran it: inner fan-outs must stay on their outer band's thread.
+        let mut outer = vec![Vec::new(); 6];
+        super::with_num_threads(3, || {
+            outer.par_iter_mut().for_each(|inner: &mut Vec<(u32, std::thread::ThreadId)>| {
+                inner.resize(5000, (0, std::thread::current().id()));
+                super::with_num_threads(4, || {
+                    inner.par_iter_mut().for_each(|(x, id)| {
+                        *x += 1;
+                        *id = std::thread::current().id();
+                    });
+                });
+            });
+        });
+        for inner in &outer {
+            assert_eq!(inner.len(), 5000);
+            assert!(inner.iter().all(|&(x, _)| x == 1), "every element exactly once");
+            assert!(inner.iter().all(|&(_, id)| id == inner[0].1), "one thread per inner fan-out");
+        }
+        // The calling thread ran band 0 and is no longer inside a band.
+        assert!(!super::IN_BAND.with(|c| c.get()));
+        let main = std::thread::current().id();
+        assert_eq!(outer[0][0].1, main, "band 0 runs on the calling thread");
+        assert_ne!(outer[5][0].1, main, "the last band runs on a spawned thread");
+    }
+
+    #[test]
+    fn band_flag_is_restored_after_a_panic() {
+        let mut v = vec![0u32; 8];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            super::with_num_threads(2, || {
+                v.par_iter_mut().for_each(|x| {
+                    *x += 1;
+                    panic!("band panics");
+                });
+            });
+        }));
+        assert!(caught.is_err(), "the panic propagates to the caller");
+        assert!(!super::IN_BAND.with(|c| c.get()), "the caller must not stay serial");
+        // A later fan-out from this thread still spreads over threads.
+        let mut ids = vec![None; 2];
+        super::with_num_threads(2, || {
+            ids.par_iter_mut().for_each(|id| *id = Some(std::thread::current().id()));
+        });
+        assert_ne!(ids[0], ids[1], "fan-out after the panic must run in parallel");
     }
 
     #[test]

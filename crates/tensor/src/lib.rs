@@ -31,6 +31,11 @@ pub use rng::Rng;
 pub use shape::Shape;
 pub use tensor::Tensor;
 
+/// The parallel runtime the kernels fan out on, re-exported so the crates
+/// above fan out on the same one: a fan-out started inside a band of
+/// another runs serially on that band's thread.
+pub use rayon;
+
 /// Absolute tolerance used by [`Tensor::allclose`] and the test helpers.
 pub const DEFAULT_ATOL: f32 = 1e-5;
 

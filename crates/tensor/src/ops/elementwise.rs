@@ -111,7 +111,14 @@ impl Tensor {
 
     /// Elementwise `max(x, 0)`.
     pub fn relu(&self) -> Tensor {
-        map_unary(self, |x| x.max(0.0))
+        let mut out = self.clone();
+        out.relu_inplace();
+        out
+    }
+
+    /// In-place [`relu`](Self::relu).
+    pub fn relu_inplace(&mut self) {
+        map_unary_inplace(self, |x| x.max(0.0));
     }
 
     /// Logistic sigmoid.

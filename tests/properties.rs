@@ -227,6 +227,28 @@ mod thread_invariance {
             w
         });
     }
+
+    #[test]
+    fn evaluate_is_thread_invariant() {
+        use lc_asgd::nn::metrics::evaluate;
+        use lc_asgd::nn::resnet::ResNetConfig;
+        // Ten batches of 16 (the last one partial): the fan-out over batches
+        // engages at every forced thread count.
+        let mut rng = Rng::seed_from_u64(12);
+        let net = ResNetConfig::tiny(3, 10).build(&mut rng);
+        let x = randn(&[150, 3, 8, 8], 13);
+        let labels: Vec<usize> = (0..150).map(|i| i * 3 % 10).collect();
+        let (err, loss) = rayon::with_num_threads(1, || evaluate(&net, &x, &labels, 16));
+        assert!(loss.is_finite() && loss > 0.0);
+        for threads in [3, 8] {
+            let (e, l) = rayon::with_num_threads(threads, || evaluate(&net, &x, &labels, 16));
+            assert_eq!(
+                (e.to_bits(), l.to_bits()),
+                (err.to_bits(), loss.to_bits()),
+                "evaluate is not bitwise thread-count invariant at {threads} threads"
+            );
+        }
+    }
 }
 
 mod extension_properties {
